@@ -4,13 +4,13 @@ from repro.experiments.adaptability import format_fig7, run_fig7
 
 from conftest import run_once
 
-BENCH_CCAS = ("cubic", "bbr", "copa", "sprout", "remy", "indigo", "aurora",
-              "vivace", "proteus", "orca", "modified-rl", "cl-libra",
-              "c-libra", "b-libra")
+CCAS = ("cubic", "bbr", "copa", "sprout", "remy", "indigo", "aurora",
+        "vivace", "proteus", "orca", "modified-rl", "cl-libra",
+        "c-libra", "b-libra")
 
 
 def test_fig7_scatter(benchmark, scale, capsys):
-    data = run_once(benchmark, run_fig7, ccas=BENCH_CCAS,
+    data = run_once(benchmark, run_fig7, ccas=CCAS,
                     seeds=scale["seeds"][:1], duration=scale["duration"])
     with capsys.disabled():
         print()

@@ -4,12 +4,12 @@ from repro.experiments.fairness import run_intra
 
 from conftest import run_once
 
-BENCH_CCAS = ("cubic", "bbr", "copa", "aurora", "proteus", "orca",
-              "c-libra", "b-libra")
+CCAS = ("cubic", "bbr", "copa", "aurora", "proteus", "orca",
+        "c-libra", "b-libra")
 
 
 def test_fig14_intra_protocol(benchmark, scale, capsys):
-    data = run_once(benchmark, run_intra, ccas=BENCH_CCAS,
+    data = run_once(benchmark, run_intra, ccas=CCAS,
                     seeds=scale["seeds"][:2] or (1,),
                     duration=scale["duration"] * 3)
     with capsys.disabled():

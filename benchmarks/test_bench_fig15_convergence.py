@@ -4,13 +4,13 @@ from repro.experiments.convergence import run_fig15, run_tab5
 
 from conftest import run_once
 
-BENCH_CCAS = ("bbr", "cubic", "indigo", "proteus", "orca", "modified-rl",
-              "c-libra", "b-libra")
+CCAS = ("bbr", "cubic", "indigo", "proteus", "orca", "modified-rl",
+        "c-libra", "b-libra")
 
 
 def test_fig15_tab5_convergence(benchmark, scale, capsys):
     duration = max(scale["duration"] * 4, 32.0)
-    fig15 = run_once(benchmark, run_fig15, ccas=BENCH_CCAS, seed=1,
+    fig15 = run_once(benchmark, run_fig15, ccas=CCAS, seed=1,
                      duration=duration)
     tab5 = run_tab5(fig15, duration=duration)
     with capsys.disabled():

@@ -59,7 +59,6 @@ COMMANDS = {
     "chaos": "run seeded fault scenarios against a real netio server",
     "replay": "re-execute a captured failure bundle with sanitizers on",
     "diff": "run one job under two configurations and diff the metrics",
-    "bench": "run the standing performance benchmarks (BENCH_*.json)",
 }
 
 
@@ -524,36 +523,6 @@ def cmd_diff(args) -> int:
     return status
 
 
-def cmd_bench(args) -> int:
-    """Standing perf benchmarks: run, write artifacts, gate on baselines."""
-    from .bench import (compare_reports, has_failures, load_baselines,
-                        registry, run_bench)
-
-    if args.list_workloads:
-        for name, workload in sorted(registry().items()):
-            print(f"{name}: {workload.description}")
-        return 0
-    names = [n.strip() for n in args.workloads.split(",") if n.strip()] \
-        if args.workloads else None
-    try:
-        docs = run_bench(names, outdir=args.out, warmup=args.warmup,
-                         repeats=args.repeats, seed=args.seed,
-                         scale=args.scale, profile=args.profile, echo=print)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    status = 1 if any(d["status"] == "failed" for d in docs) else 0
-    if args.compare:
-        baselines = load_baselines(args.compare)
-        verdicts = compare_reports(docs, baselines,
-                                   tolerance=args.tolerance)
-        for verdict in verdicts:
-            print(verdict)
-        if has_failures(verdicts):
-            status = 1
-    return status
-
-
 def main(argv=None) -> int:
     from . import __version__
 
@@ -778,33 +747,6 @@ def main(argv=None) -> int:
     diff.add_argument("--json", action="store_true",
                       help="print one JSON report line per mode")
 
-    bench = sub.add_parser("bench", help=COMMANDS["bench"])
-    bench.add_argument("--workloads", default=None,
-                       help="comma-separated workload names (default: the "
-                            "standing set; --list-workloads to enumerate)")
-    bench.add_argument("--list-workloads", action="store_true",
-                       help="list registered workloads and exit")
-    bench.add_argument("--out", default="bench-artifacts",
-                       help="artifact directory (default: bench-artifacts)")
-    bench.add_argument("--warmup", type=int, default=1,
-                       help="untimed warmup runs per workload (default 1)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed repeats; the minimum wall time is "
-                            "reported (default 3)")
-    bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--scale", type=float, default=1.0,
-                       help="duration/size multiplier — CI smoke runs at "
-                            "a fraction of the standing durations")
-    bench.add_argument("--profile", action="store_true",
-                       help="also write a cProfile top-25 cumulative dump "
-                            "per workload (PROFILE_<name>.txt)")
-    bench.add_argument("--compare", default=None,
-                       help="baseline BENCH_*.json file or directory; "
-                            "exits 1 on any regression verdict")
-    bench.add_argument("--tolerance", type=float, default=0.2,
-                       help="relative packets/sec tolerance for --compare "
-                            "(default 0.2)")
-
     args = parser.parse_args(argv)
     if args.command == "list":
         return cmd_list(args)
@@ -824,8 +766,6 @@ def main(argv=None) -> int:
         return cmd_replay(args)
     if args.command == "diff":
         return cmd_diff(args)
-    if args.command == "bench":
-        return cmd_bench(args)
     return cmd_experiment(args)
 
 

@@ -48,8 +48,7 @@ class LibraConfig:
     #: (doubles per consecutive fault up to rl_backoff_max)
     rl_backoff_initial: float = 1.0
     rl_backoff_max: float = 30.0
-    #: limits of the controller's decision recorder — the stage log that
-    #: backs :attr:`LibraController.decision_log` plus the stage/verdict/
+    #: limits of the controller's decision recorder — the stage/verdict/
     #: watchdog event channels.  ``max_events_per_kind`` (default 100 000)
     #: replaces the old hard-coded ``_log`` cap; events past it are
     #: counted, not stored.

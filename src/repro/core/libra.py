@@ -152,17 +152,6 @@ class LibraController(Controller):
             recorder.adopt(self._recorder)
             self._recorder = recorder
 
-    @property
-    def decision_log(self) -> list[tuple[float, str, float]]:
-        """Read-only ``(time, stage, rate)`` view of the stage events.
-
-        Backward-compatible shape of the pre-telemetry ad-hoc list; the
-        events themselves (with base rate and cycle index) live in the
-        recorder's ``libra.stage`` channel.
-        """
-        return [(e.t, e.fields["stage"], e.fields["rate"])
-                for e in self._recorder.events("libra.stage")]
-
     # -- helpers -----------------------------------------------------------
 
     def _srtt(self) -> float:

@@ -190,7 +190,7 @@ def churn_job(spec: ChurnSpec, cca: str, scenario, seed: int = 0,
     return job.with_telemetry() if telemetry else job
 
 
-#: the named workloads the scale experiment, bench and CI address
+#: the named workloads the scale experiment, benchmark and CI address
 CHURN_PRESETS: dict[str, ChurnSpec] = {
     "churn-smoke": ChurnSpec(
         name="churn-smoke", n_flows=32, arrival_window=4.0, duration=10.0,

@@ -44,8 +44,9 @@ class RunResult:
     #: structured trace of the run (``None`` unless telemetry was enabled);
     #: picklable, so it crosses the fork-pool boundary and the result cache
     telemetry: "FlowTelemetry | None" = None
-    #: events the loop fired — the benchmark meter's events/sec numerator;
-    #: engine-dependent by design, so never part of a metric fingerprint
+    #: events the loop fired — the numerator of the e2e benchmark's
+    #: ``simnet.events_per_pkt``; engine-dependent by design, so never
+    #: part of a metric fingerprint
     events_processed: int = 0
     #: which engine actually ran ("batched" may fall back to "reference"
     #: when the scenario's AQM or fault schedule needs per-event structure)

@@ -363,11 +363,13 @@ class TestIntegration:
         net.run(6.0)
         assert controller.meter.counts["nn_forward"] > 0
 
-    def test_decision_log_populates(self):
+    def test_stage_events_populate(self):
         from repro.core.factory import make_c_libra
-        net = Dumbbell(wired_trace(24), buffer_bytes=150_000, rtt=0.03, seed=1)
-        controller = make_c_libra(seed=1)
-        net.add_flow(controller)
+        from repro.telemetry import Recorder
+        recorder = Recorder()
+        net = Dumbbell(wired_trace(24), buffer_bytes=150_000, rtt=0.03, seed=1,
+                       recorder=recorder)
+        net.add_flow(make_c_libra(seed=1))
         net.run(4.0)
-        stages = {stage for _, stage, _ in controller.decision_log}
+        stages = {e.fields["stage"] for e in recorder.events("libra.stage")}
         assert "explore" in stages and "exploit" in stages

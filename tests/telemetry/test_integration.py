@@ -14,7 +14,7 @@ from repro.core.libra import LibraController
 from repro.parallel import (ResultCache, has_fork, job_key, run_jobs,
                             single_flow_job)
 from repro.scenarios.presets import LTE, WIRED, stress_scenario
-from repro.telemetry import SCHEMA_VERSION, Recorder
+from repro.telemetry import SCHEMA_VERSION
 
 needs_fork = pytest.mark.skipif(not has_fork(),
                                 reason="platform lacks fork start method")
@@ -82,21 +82,6 @@ class TestLibraAcceptance:
                 assert nxt.fields["base"] == pytest.approx(fields["new_base"])
                 chained += 1
         assert chained >= 5
-
-    def test_decision_log_property_mirrors_stage_events(self):
-        recorder = Recorder()
-        net = LTE["lte-stationary"].build(seed=1, recorder=recorder)
-        from repro.registry import make_controller
-
-        controller = make_controller("c-libra", seed=1)
-        net.add_flow(controller)
-        net.run(4.0)
-        log = controller.decision_log
-        stages = recorder.events("libra.stage")
-        assert len(log) == len(stages) > 0
-        t, stage, rate = log[0]
-        assert (t, stage, rate) == (stages[0].t, stages[0].fields["stage"],
-                                    stages[0].fields["rate"])
 
 
 class TestFaultEvents:

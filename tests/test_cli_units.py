@@ -1,5 +1,7 @@
 """Tests for the CLI entry point, unit helpers, and the env bridge."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -67,3 +69,24 @@ class TestCli:
 
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "fig99"]) == 2
+
+    def test_listed_commands_match_the_parser(self, capsys):
+        assert main(["list"]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("Commands:"))
+        listed = set(line.removeprefix("Commands:").strip().split(", "))
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        parsed = set(re.search(r"\{([\w,-]+)\}", usage).group(1).split(","))
+        assert listed == parsed
+        for cmd in sorted(listed):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--help"])
+            assert exc.value.code == 0, cmd
+
+    def test_unknown_command_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
