@@ -198,6 +198,14 @@ class WindowController(Controller):
     def cwnd(self) -> float:
         return max(self.cwnd_bytes, self.min_cwnd_bytes)
 
+    def adopt_rate(self, rate_bps: float, srtt: float) -> None:
+        """Seed the window with ``rate_bps`` worth of data per ``srtt``.
+
+        The inverse of :meth:`Controller.rate_estimate`, which a window
+        CCA inherits unchanged (``cwnd * 8 / srtt``).
+        """
+        self.cwnd_bytes = max(rate_bps * srtt / 8.0, self.min_cwnd_bytes)
+
 
 class RateController(Controller):
     """Helper base for rate-based CCAs; keeps a bounded pacing rate."""
@@ -219,7 +227,5 @@ class RateController(Controller):
         return self.rate_bps
 
     def cwnd(self) -> float | None:
-        # Safety cap: never hold more than ~2 rate*RTT worth of data in
-        # flight even if ACKs stop arriving (rate-based schemes need this
-        # to avoid dumping into dead links).
+        # Rate-only: no window cap, the sender paces at rate_bps.
         return None

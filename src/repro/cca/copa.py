@@ -82,9 +82,3 @@ class Copa(WindowController):
         self.mark_reduction(loss.now)
         self.cwnd_bytes = max(self.cwnd_bytes / 2.0, self.min_cwnd_bytes)
         self.velocity = 1.0
-
-    def adopt_rate(self, rate_bps: float, srtt: float) -> None:
-        self.cwnd_bytes = max(rate_bps * srtt / 8.0, self.min_cwnd_bytes)
-
-    def rate_estimate(self, srtt: float) -> float:
-        return self.cwnd() * 8.0 / max(srtt, 1e-3)

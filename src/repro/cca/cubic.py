@@ -111,10 +111,7 @@ class Cubic(WindowController):
     # -- Libra integration -----------------------------------------------
 
     def adopt_rate(self, rate_bps: float, srtt: float) -> None:
-        """Seed the window so CUBIC explores from Libra's base rate."""
-        self.cwnd_bytes = max(rate_bps * srtt / 8.0, self.min_cwnd_bytes)
+        """Seed the window, then restart the cubic epoch from it."""
+        super().adopt_rate(rate_bps, srtt)
         self.epoch_start = None
         self.w_max = max(self.w_max, self.cwnd_packets)
-
-    def rate_estimate(self, srtt: float) -> float:
-        return self.cwnd() * 8.0 / max(srtt, 1e-3)

@@ -62,9 +62,3 @@ class Illinois(WindowController):
         self.cwnd_bytes = max(self.cwnd_bytes * (1.0 - self._beta),
                               self.min_cwnd_bytes)
         self.ssthresh = self.cwnd_bytes
-
-    def adopt_rate(self, rate_bps: float, srtt: float) -> None:
-        self.cwnd_bytes = max(rate_bps * srtt / 8.0, self.min_cwnd_bytes)
-
-    def rate_estimate(self, srtt: float) -> float:
-        return self.cwnd() * 8.0 / max(srtt, 1e-3)

@@ -39,9 +39,3 @@ class Westwood(WindowController):
         else:
             self.ssthresh = max(self.cwnd_bytes / 2.0, self.min_cwnd_bytes)
         self.cwnd_bytes = self.ssthresh
-
-    def adopt_rate(self, rate_bps: float, srtt: float) -> None:
-        self.cwnd_bytes = max(rate_bps * srtt / 8.0, self.min_cwnd_bytes)
-
-    def rate_estimate(self, srtt: float) -> float:
-        return self.cwnd() * 8.0 / max(srtt, 1e-3)

@@ -11,14 +11,15 @@ vector.  These helpers evaluate that game, verify concavity /
 social-concavity numerically, and locate the symmetric Nash equilibrium
 — the quantities Theorem 4.1 and Lemmas A.1-A.4 reason about.  The
 property-based tests in ``tests/core/test_equilibrium.py`` check the
-lemmas on sampled instances.
+lemmas on sampled instances under ``DEFAULT_PARAMS`` — the deployed
+Eq. 1, ``gradient_scale`` = 1/300 included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .utility import DEFAULT_PARAMS, UtilityParams
+from .utility import DEFAULT_PARAMS, UtilityParams, utility
 
 
 def droptail_loss(total_rate: float, capacity: float) -> float:
@@ -37,49 +38,72 @@ def droptail_gradient(total_rate: float, capacity: float) -> float:
 
 def game_utility(rates_mbps, index: int, capacity_mbps: float,
                  params: UtilityParams = DEFAULT_PARAMS) -> float:
-    """Sender ``index``'s utility given everyone's rates (Appendix A.1)."""
+    """Sender ``index``'s Eq. 1 utility given everyone's rates (Appendix A.1).
+
+    Evaluated by :func:`~repro.core.utility.utility` itself, so the
+    analysis sees exactly the utility Libra runs — ``gradient_scale``
+    included.
+    """
     rates = np.asarray(rates_mbps, dtype=float)
     if np.any(rates < 0):
         raise ValueError("rates must be non-negative")
     total = float(rates.sum())
-    x = float(rates[index])
-    return (params.alpha * x ** params.t
-            - params.beta * x * droptail_gradient(total, capacity_mbps)
-            - params.gamma * x * droptail_loss(total, capacity_mbps))
+    return utility(float(rates[index]),
+                   droptail_gradient(total, capacity_mbps),
+                   droptail_loss(total, capacity_mbps), params)
+
+
+def _bisect(rising, hi: float, tol: float) -> float:
+    """The point in ``[0, hi]`` where the monotone test ``rising`` turns
+    false, bracketed down to ``tol``."""
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if rising(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def best_response(rates_mbps, index: int, capacity_mbps: float,
                   params: UtilityParams = DEFAULT_PARAMS,
-                  grid: int = 4000, max_rate: float | None = None) -> float:
-    """Numerically maximize sender ``index``'s utility over its own rate."""
-    rates = np.asarray(rates_mbps, dtype=float).copy()
+                  max_rate: float | None = None, tol: float = 1e-9) -> float:
+    """Maximize sender ``index``'s utility over its own rate.
+
+    The utility is concave in the own rate (Lemma A.2), so whether a
+    step of ``h`` still raises it changes sign once: bisect on that
+    sign over ``[0, max_rate]`` (default ``3 * capacity``) down to
+    ``h = tol * max_rate``.
+    """
+    rates = np.array(rates_mbps, dtype=float)
     hi = max_rate if max_rate is not None else 3.0 * capacity_mbps
-    candidates = np.linspace(1e-3, hi, grid)
-    best_x, best_u = 0.0, -np.inf
-    for x in candidates:
+    h = tol * hi
+
+    def own(x: float) -> float:
         rates[index] = x
-        u = game_utility(rates, index, capacity_mbps, params)
-        if u > best_u:
-            best_u, best_x = u, float(x)
-    return best_x
+        return game_utility(rates, index, capacity_mbps, params)
+
+    return _bisect(lambda x: own(x + 0.5 * h) > own(x), hi, h)
 
 
 def symmetric_equilibrium(n: int, capacity_mbps: float,
                           params: UtilityParams = DEFAULT_PARAMS,
-                          iterations: int = 60) -> float:
-    """Find the symmetric fixed point x* with best-response dynamics.
+                          tol: float = 1e-9) -> float:
+    """The symmetric fixed point x* = br((n-1) x*), by bisection.
 
-    Lemma A.2/A.3: the game has a unique equilibrium and it is the fair
-    share — every sender sends x* with n*x* >= C.
+    More traffic from the others never raises a sender's best response,
+    so ``br((n-1) x) - x`` is strictly decreasing in ``x`` and has one
+    root, which bisection brackets down to ``tol * capacity`` inside
+    best_response's own search range.  Lemma A.2/A.3: the game has a
+    unique equilibrium and it is the fair share — every sender sends
+    x* with n*x* >= C.
     """
     if n < 1:
         raise ValueError("need at least one sender")
-    x = capacity_mbps / n
-    for _ in range(iterations):
-        rates = np.full(n, x)
-        response = best_response(rates, 0, capacity_mbps, params)
-        x = 0.5 * x + 0.5 * response
-    return float(x)
+    return _bisect(lambda x: best_response(np.full(n, x), 0, capacity_mbps,
+                                           params) > x,
+                   3.0 * capacity_mbps, tol * capacity_mbps)
 
 
 def is_concave_in_own_rate(capacity_mbps: float, others_total: float,

@@ -112,22 +112,28 @@ class Job:
         """A copy of this job with the invariant layer on (or off)."""
         return dataclasses.replace(self, sanitize=1 if enabled else 0)
 
-    def run(self) -> RunResult:
-        """Execute the simulation in-process and return its result."""
+    def run(self, reference: bool = False) -> RunResult:
+        """Execute the simulation in-process and return its result.
+
+        ``reference`` forces the reference datapath (see
+        :meth:`Scenario.build`); it is not part of the job spec, so it
+        never enters a cache key.
+        """
         from ..sanitize import invariants as _sanitize
 
         if self.sanitize or _sanitize.env_forced():
             with _sanitize.activate(_sanitize.SimSanitizer()):
-                return self._run()
-        return self._run()
+                return self._run(reference)
+        return self._run(reference)
 
-    def _run(self) -> RunResult:
+    def _run(self, reference: bool) -> RunResult:
         recorder = None
         if self.telemetry:
             from ..telemetry import Recorder
 
             recorder = Recorder()
-        net = self.scenario.build(seed=self.seed, recorder=recorder)
+        net = self.scenario.build(seed=self.seed, recorder=recorder,
+                                  reference=reference)
         for flow in self.flows:
             net.add_flow(flow.build(self.seed), start=flow.start,
                          stop=flow.stop, extra_rtt=flow.extra_rtt,

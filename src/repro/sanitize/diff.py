@@ -18,8 +18,7 @@ Built-in modes (``repro diff --mode ...``):
   claims bit-identical results, and this is the oracle that holds it to
   that claim.
 
-:func:`diff_jobs` compares two arbitrary jobs — the general hook the
-``engine`` mode is built on.
+:func:`diff_jobs` compares two arbitrary jobs.
 """
 
 from __future__ import annotations
@@ -159,12 +158,7 @@ def diff_results(result_a, result_b, mode: str, label_a: str, label_b: str,
 
 def diff_jobs(job_a, job_b, mode: str = "custom", label_a: str = "A",
               label_b: str = "B", tolerance: float = 0.0) -> DiffReport:
-    """Run two jobs in-process and compare their fingerprints.
-
-    The engine-A-vs-engine-B hook: once an alternative simulation core
-    exists, point two otherwise-identical jobs at the two engines and
-    demand equality.
-    """
+    """Run two jobs in-process and compare their fingerprints."""
     return diff_results(job_a.run(), job_b.run(), mode=mode,
                         label_a=label_a, label_b=label_b,
                         tolerance=tolerance)
@@ -225,21 +219,17 @@ def _diff_sanitize(job, tolerance: float) -> DiffReport:
 
 
 def _diff_engine(job, tolerance: float) -> DiffReport:
-    """Reference core vs. the batched fast path, exact by default.
+    """Reference core vs. the engine a run picks by default, exact.
 
-    Both legs run in-process from the same job with only
-    ``Scenario.engine`` flipped.  Scenarios where the batched engine
-    falls back (CoDel, reorder/delay-spike/ACK faults) still compare —
-    the fallback leg must behave exactly like the reference — and the
-    report notes which engine actually ran.
+    Both legs run in-process from the same job: one with
+    ``reference=True``, one as every other run executes — batched
+    wherever that datapath is exact.  Scenarios outside its envelope
+    (CoDel, reorder/delay-spike/ACK faults) still compare — the default
+    leg must then behave exactly like the reference — and the report
+    notes which engine actually ran.
     """
-    import dataclasses as _dc
-
-    scenario = job.scenario
-    job_ref = _dc.replace(job, scenario=scenario.with_(engine="reference"))
-    job_bat = _dc.replace(job, scenario=scenario.with_(engine="batched"))
-    result_ref = job_ref.run()
-    result_bat = job_bat.run()
+    result_ref = job.run(reference=True)
+    result_bat = job.run()
     report = diff_results(result_ref, result_bat, mode="engine",
                           label_a="reference", label_b="batched",
                           tolerance=tolerance)

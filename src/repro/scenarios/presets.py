@@ -46,26 +46,25 @@ class Scenario:
     mss: int = 1500
     aqm: str = "droptail"
     faults: FaultSchedule | None = None
-    #: simulation core: "reference" (one event per packet stage) or
-    #: "batched" (fused events; falls back to reference components when
-    #: the AQM or fault schedule requires per-event structure).  Part of
-    #: the frozen spec, hence of the parallel-cache key.
-    engine: str = "reference"
 
     def trace(self, seed: int = 0) -> Trace:
         return self.trace_factory(seed)
 
-    def build(self, seed: int = 0, recorder=None) -> Dumbbell:
+    def build(self, seed: int = 0, recorder=None,
+              reference: bool = False) -> Dumbbell:
         """Construct the dumbbell network for this scenario.
 
         ``recorder`` optionally attaches a
         :class:`~repro.telemetry.Recorder` so the run produces a
         :class:`~repro.telemetry.FlowTelemetry` artifact.
+        ``reference`` forces the reference datapath (the engine-diff
+        oracle); by default the network picks the batched one wherever
+        it is exact.
         """
         return Dumbbell(self.trace(seed), buffer_bytes=self.buffer_bytes,
                         rtt=self.rtt, loss_rate=self.loss_rate, seed=seed,
                         mss=self.mss, aqm=self.aqm, faults=self.faults,
-                        recorder=recorder, engine=self.engine)
+                        recorder=recorder, reference=reference)
 
     def with_(self, **changes) -> "Scenario":
         return replace(self, **changes)
@@ -268,18 +267,16 @@ SCALE_RTT = ms(40)
 
 
 def scale_scenario() -> Scenario:
-    """The flow-churn bottleneck: 96 Mbps / 40 ms / 1.5 BDP, batched.
+    """The flow-churn bottleneck: 96 Mbps / 40 ms / 1.5 BDP.
 
     Sized so hundreds of finite flows genuinely contend (per-flow fair
     share well under slow-start rates) while a full churn sweep still
-    runs in CI; the batched engine is the default because scale runs are
-    packet-count-bound and the scenario stays inside its envelope (no
-    AQM, no faults).
+    runs in CI.
     """
     bdp = mbps(SCALE_BW_MBPS) * SCALE_RTT / 8.0
     return Scenario(name="scale-96", trace_factory=_const(SCALE_BW_MBPS),
                     rtt=SCALE_RTT, buffer_bytes=1.5 * bdp,
-                    default_duration=30.0, engine="batched")
+                    default_duration=30.0)
 
 
 def rl_default_scenario() -> Scenario:

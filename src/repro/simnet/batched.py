@@ -357,7 +357,7 @@ class BatchedSender(Sender):
     allocation per send.
     """
 
-    __slots__ = ("_jitter_block", "_jitter_i", "_send_cb", "_sample",
+    __slots__ = ("_jitter_block", "_jitter_i", "_send_cb",
                  "_cwnd_simple", "_pace_simple", "_fast_link", "_pipe",
                  "_blink", "_userspace", "_track_window")
 
@@ -379,23 +379,19 @@ class BatchedSender(Sender):
         # decision methods, the hot paths evaluate the same expressions
         # inline instead of paying a dynamic call per packet.  Subclasses
         # that override cwnd()/pacing_rate() (BBR, Libra, rate CCAs) take
-        # the generic path.  Imported lazily — a module-level import would
-        # cycle through repro.cca's package init.
+        # the generic path, and so do wrappers that forward attribute
+        # lookups (no class-level method to compare).  Imported lazily —
+        # a module-level import would cycle through repro.cca's package
+        # init.
         from ..cca.base import Controller, WindowController
         cls = type(self.controller)
-        self._cwnd_simple = cls.cwnd is WindowController.cwnd
-        self._pace_simple = cls.pacing_rate is Controller.pacing_rate
+        self._cwnd_simple = getattr(cls, "cwnd", None) is WindowController.cwnd
+        self._pace_simple = \
+            getattr(cls, "pacing_rate", None) is Controller.pacing_rate
         # ``userspace`` is a class constant on every controller in the
         # tree (never assigned per instance), so cache the flag here.
         self._userspace = self.controller.userspace
         self._track_window = True
-        # One AckSample, mutated per ACK.  Safe because no controller in
-        # the tree retains the sample object past on_ack() — they all
-        # copy scalar fields (verified across cca/, learning/, core/;
-        # copa stores (now, rtt) value tuples, not the sample).  A future
-        # controller that aliases the sample would diverge from the
-        # reference engine and be caught by ``repro diff --mode engine``.
-        self._sample = AckSample(0.0, 0, 0.0, 0.0, 0.0, 0, 0.0, 0.0, 0.0, 0)
 
     def start(self) -> None:
         super().start()
@@ -586,11 +582,10 @@ class FlowPipe:
         bookkeeping at delivery time); second half is
         :meth:`Sender.process_ack` flattened into straight-line code —
         the same floats in the same order, with ``min``/``max`` calls as
-        branches and one mutated :class:`AckSample` instead of a fresh
-        allocation per ACK (no controller retains the sample; the
-        engine-diff oracle guards that invariant).  The sender clocks
-        off ``loop.now`` — this event's fire time IS the ACK arrival
-        instant, so no clock read is needed.
+        branches and a positionally built :class:`AckSample` (a fresh
+        one per ACK: controllers may keep what they receive).  The
+        sender clocks off ``loop.now`` — this event's fire time IS the
+        ACK arrival instant, so no clock read is needed.
         """
         delivery_time = self.pending_t.popleft()
         seq = self.pending_s.popleft()
@@ -668,18 +663,9 @@ class FlowPipe:
             s.sanitizer.check_ack_sample(s.flow_id, rtt, srtt,
                                          inflight, delivery_rate, now)
         controller = s.controller
-        sample = s._sample
-        sample.now = now
-        sample.seq = seq
-        sample.rtt = rtt
-        sample.min_rtt = s.min_rtt
-        sample.srtt = srtt
-        sample.acked_bytes = size
-        sample.delivery_rate = delivery_rate
-        sample.inflight_bytes = inflight
-        sample.sent_time = sent_time
-        sample.marker = record[3]
-        controller.on_ack(sample)
+        controller.on_ack(AckSample(now, seq, rtt, s.min_rtt, srtt, size,
+                                    delivery_rate, inflight, sent_time,
+                                    record[3]))
         if s._userspace:
             controller.meter.count("userspace_packet")
 

@@ -48,8 +48,9 @@ class RunResult:
     #: ``simnet.events_per_pkt``; engine-dependent by design, so never
     #: part of a metric fingerprint
     events_processed: int = 0
-    #: which engine actually ran ("batched" may fall back to "reference"
-    #: when the scenario's AQM or fault schedule needs per-event structure)
+    #: which engine ran: "batched" inside its exactness envelope,
+    #: "reference" when the AQM or fault schedule needs per-event
+    #: structure (or when the caller asked for the oracle)
     engine_used: str = "reference"
 
     @property
@@ -119,12 +120,9 @@ class Dumbbell:
                  recorder: "Recorder | None" = None,
                  sanitizer: "_sanitize.SimSanitizer | None" = None,
                  service_log_horizon: float | None = None,
-                 engine: str = "reference"):
+                 reference: bool = False):
         if rtt <= 0:
             raise ValueError("rtt must be positive")
-        if engine not in ("reference", "batched"):
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"use 'reference' or 'batched'")
         self.loop = EventLoop()
         self.recorder = recorder
         # Invariant layer: explicit argument wins, else the process-wide
@@ -147,13 +145,13 @@ class Dumbbell:
         self._senders: list[Sender] = []
         self._receivers: list[Receiver] = []
         self._pipes: list[FlowPipe] = []
-        # The batched fast path is only exact for droptail + batch-safe
-        # faults; anything else silently runs the reference components
-        # (``engine_used`` records the outcome, ``repro diff --mode
-        # engine`` verifies the equivalence either way).
-        self._batched = (engine == "batched" and aqm == "droptail"
+        # The batched datapath runs wherever it is exact (droptail,
+        # batch-safe faults); CoDel and per-packet ACK/delay faults need
+        # the reference components.  ``reference=True`` forces them —
+        # the oracle leg of ``repro diff --mode engine`` and of tests.
+        # ``engine_used`` records which one ran.
+        self._batched = (not reference and aqm == "droptail"
                          and batch_safe(faults))
-        self.engine = engine
         self.engine_used = "batched" if self._batched else "reference"
         if self._batched:
             self.link = BatchedBottleneckLink(

@@ -40,17 +40,28 @@ class TestGameUtility:
 
 class TestEquilibrium:
     @settings(max_examples=8, deadline=None)
-    @given(st.integers(2, 4), st.floats(12.0, 96.0))
+    @given(st.integers(1, 32), st.floats(12.0, 96.0))
     def test_symmetric_equilibrium_exists_and_saturates(self, n, capacity):
-        """Lemma A.1/A.3: the fair equilibrium has n*x* >= C."""
+        """Lemma A.1/A.3: the fair equilibrium has n*x* >= C, and it is
+        a best-response fixed point."""
         x_star = symmetric_equilibrium(n, capacity)
         assert n * x_star >= capacity * 0.99
+        response = best_response(np.full(n, x_star), 0, capacity)
+        assert abs(response - x_star) <= 1e-6 * capacity
 
     def test_equilibrium_is_best_response_fixed_point(self):
-        n, capacity = 2, 48.0
-        x_star = symmetric_equilibrium(n, capacity)
-        response = best_response(np.full(n, x_star), 0, capacity)
-        assert response == pytest.approx(x_star, rel=0.05)
+        """The fixed point saturates the link exactly up to n = 16 and
+        overshoots it only mildly at n = 32."""
+        capacity = 48.0
+        for n in (1, 2, 8, 16, 32):
+            x_star = symmetric_equilibrium(n, capacity)
+            response = best_response(np.full(n, x_star), 0, capacity)
+            assert response == pytest.approx(x_star, rel=1e-6), n
+            ratio = n * x_star / capacity
+            if n <= 16:
+                assert ratio == pytest.approx(1.0, abs=1e-6), n
+            else:
+                assert 1.0 < ratio < 1.1
 
     def test_no_profitable_unilateral_deviation(self):
         """Theorem 4.1's inequality at the symmetric equilibrium."""

@@ -1,18 +1,27 @@
-"""Differential oracle for the batched engine.
+"""Differential oracle for the batched engine, and its selection.
 
-A speedup from the batched engine is only meaningful if it computes the
-*same run* as the reference engine.  These tests drive ``repro diff
---mode engine`` (exact tolerance) across the tier-1 preset families:
-plain wired, a trace-driven cellular preset, and the two in-envelope
-fault profiles.  A preset outside the batched envelope must fall back
-to the reference engine and still match.
+Every run takes the batched engine wherever it is exact, so a speedup
+from it is only meaningful if it computes the *same run* as the
+reference engine.  These tests drive ``repro diff --mode engine``
+(exact tolerance) across the tier-1 preset families: plain wired, a
+trace-driven cellular preset, and the two in-envelope fault profiles.
+A preset outside the batched envelope must fall back to the reference
+engine and still match.  They also pin which presets run batched, and
+that traced runs and controllers that keep their feedback see the same
+stream on both engines.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from repro.cca.cubic import Cubic
 from repro.parallel import single_flow_job
 from repro.sanitize.diff import run_diff
 from repro.scenarios.presets import named_presets
+from repro.simnet.network import Dumbbell
+from repro.simnet.trace import wired_trace
 
 
 def _job(scenario, cca="cubic", seed=11, duration=5.0):
@@ -71,3 +80,76 @@ class TestEngineFallback:
         assert any("engine=reference" in n for n in report.notes)
         assert any("outside the batched envelope" in n
                    for n in report.notes)
+
+
+#: presets whose fault schedules act on packets after the batched
+#: link's commit point (ACK faults, delay spikes, reordering)
+OUTSIDE_ENVELOPE = {"stress-ack-storm", "stress-delay-spike",
+                    "stress-pathological", "stress-reorder"}
+
+
+class TestEngineSelection:
+    @pytest.mark.parametrize("name", sorted(named_presets()))
+    def test_presets_run_batched_inside_the_envelope(self, name):
+        result = _job(name, duration=0.3).run()
+        expected = "reference" if name in OUTSIDE_ENVELOPE else "batched"
+        assert result.engine_used == expected
+
+    def test_codel_runs_reference(self):
+        net = Dumbbell(wired_trace(12), buffer_bytes=150_000, rtt=0.03,
+                       aqm="codel")
+        net.add_flow(Cubic())
+        assert net.run(0.3).engine_used == "reference"
+
+    def test_reference_flag_forces_the_oracle(self):
+        result = _job("wired-48", duration=0.3).run(reference=True)
+        assert result.engine_used == "reference"
+
+
+class TestEngineStreams:
+    def test_traced_libra_telemetry_matches(self):
+        """Traced runs take the batched engine by default: every series
+        and event must be what the reference records."""
+        job = _job("lte-driving", cca="c-libra", duration=4.0)
+        job = job.with_telemetry()
+        ref = job.run(reference=True)
+        bat = job.run()
+        assert bat.engine_used == "batched"
+        tel_ref, tel_bat = ref.telemetry, bat.telemetry
+        assert tel_ref.series_names() == tel_bat.series_names()
+        for name in tel_ref.series_names():
+            t_ref, v_ref = tel_ref.samples(name)
+            t_bat, v_bat = tel_bat.samples(name)
+            assert np.array_equal(t_ref, t_bat), name
+            assert np.array_equal(v_ref, v_bat, equal_nan=True), name
+        assert tel_ref.event_kinds() == tel_bat.event_kinds()
+        assert tel_ref.events_of("libra.stage"), "no stage events"
+        for kind in tel_ref.event_kinds():
+            assert tel_ref.events_of(kind) == tel_bat.events_of(kind), kind
+
+    def test_kept_ack_samples_match(self):
+        """A controller that keeps every AckSample it is handed sees the
+        same sequence on both engines, one distinct sample per ACK."""
+
+        class KeepingCubic(Cubic):
+            def __init__(self):
+                super().__init__()
+                self.kept = []
+
+            def on_ack(self, ack):
+                self.kept.append(ack)
+                super().on_ack(ack)
+
+        streams = []
+        for reference in (True, False):
+            net = named_presets()["wired-24"].build(seed=2,
+                                                    reference=reference)
+            controller = KeepingCubic()
+            net.add_flow(controller)
+            assert net.run(2.0).engine_used == \
+                ("reference" if reference else "batched")
+            streams.append([dataclasses.astuple(a) for a in controller.kept])
+        ref, bat = streams
+        assert len(ref) > 100
+        assert len({a[1] for a in bat}) == len(bat)  # one entry per seq
+        assert ref == bat
