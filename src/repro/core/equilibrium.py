@@ -53,11 +53,16 @@ def game_utility(rates_mbps, index: int, capacity_mbps: float,
                    droptail_loss(total, capacity_mbps), params)
 
 
-def _bisect(rising, hi: float, tol: float) -> float:
+#: relative bracket width both bisections stop at, as a fraction of
+#: their search range
+_TOL = 1e-9
+
+
+def _bisect(rising, hi: float) -> float:
     """The point in ``[0, hi]`` where the monotone test ``rising`` turns
-    false, bracketed down to ``tol``."""
-    lo = 0.0
-    while hi - lo > tol:
+    false, bracketed down to ``_TOL * hi``."""
+    lo, width = 0.0, _TOL * hi
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if rising(mid):
             lo = mid
@@ -67,43 +72,40 @@ def _bisect(rising, hi: float, tol: float) -> float:
 
 
 def best_response(rates_mbps, index: int, capacity_mbps: float,
-                  params: UtilityParams = DEFAULT_PARAMS,
-                  max_rate: float | None = None, tol: float = 1e-9) -> float:
+                  params: UtilityParams = DEFAULT_PARAMS) -> float:
     """Maximize sender ``index``'s utility over its own rate.
 
     The utility is concave in the own rate (Lemma A.2), so whether a
     step of ``h`` still raises it changes sign once: bisect on that
-    sign over ``[0, max_rate]`` (default ``3 * capacity``) down to
-    ``h = tol * max_rate``.
+    sign over ``[0, 3 * capacity]`` down to ``h = _TOL * 3 * capacity``.
     """
     rates = np.array(rates_mbps, dtype=float)
-    hi = max_rate if max_rate is not None else 3.0 * capacity_mbps
-    h = tol * hi
+    hi = 3.0 * capacity_mbps
+    h = _TOL * hi
 
     def own(x: float) -> float:
         rates[index] = x
         return game_utility(rates, index, capacity_mbps, params)
 
-    return _bisect(lambda x: own(x + 0.5 * h) > own(x), hi, h)
+    return _bisect(lambda x: own(x + 0.5 * h) > own(x), hi)
 
 
 def symmetric_equilibrium(n: int, capacity_mbps: float,
-                          params: UtilityParams = DEFAULT_PARAMS,
-                          tol: float = 1e-9) -> float:
+                          params: UtilityParams = DEFAULT_PARAMS) -> float:
     """The symmetric fixed point x* = br((n-1) x*), by bisection.
 
     More traffic from the others never raises a sender's best response,
     so ``br((n-1) x) - x`` is strictly decreasing in ``x`` and has one
-    root, which bisection brackets down to ``tol * capacity`` inside
-    best_response's own search range.  Lemma A.2/A.3: the game has a
-    unique equilibrium and it is the fair share — every sender sends
-    x* with n*x* >= C.
+    root, which bisection brackets inside best_response's own search
+    range ``[0, 3 * capacity]``.  Lemma A.2/A.3: the game has a unique
+    equilibrium and it is the fair share — every sender sends x* with
+    n*x* >= C.
     """
     if n < 1:
         raise ValueError("need at least one sender")
     return _bisect(lambda x: best_response(np.full(n, x), 0, capacity_mbps,
                                            params) > x,
-                   3.0 * capacity_mbps, tol * capacity_mbps)
+                   3.0 * capacity_mbps)
 
 
 def is_concave_in_own_rate(capacity_mbps: float, others_total: float,

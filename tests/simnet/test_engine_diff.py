@@ -20,8 +20,6 @@ from repro.cca.cubic import Cubic
 from repro.parallel import single_flow_job
 from repro.sanitize.diff import run_diff
 from repro.scenarios.presets import named_presets
-from repro.simnet.network import Dumbbell
-from repro.simnet.trace import wired_trace
 
 
 def _job(scenario, cca="cubic", seed=11, duration=5.0):
@@ -83,27 +81,23 @@ class TestEngineFallback:
 
 
 #: presets whose fault schedules act on packets after the batched
-#: link's commit point (ACK faults, delay spikes, reordering)
+#: link's commit point (ACK faults, delay spikes, reordering), and a
+#: CoDel bottleneck, whose drops depend on sojourn at dequeue
 OUTSIDE_ENVELOPE = {"stress-ack-storm", "stress-delay-spike",
-                    "stress-pathological", "stress-reorder"}
+                    "stress-pathological", "stress-reorder", "codel"}
+SELECTION_CASES = {
+    **named_presets(),
+    "codel": dataclasses.replace(named_presets()["wired-12"], aqm="codel"),
+}
 
 
 class TestEngineSelection:
-    @pytest.mark.parametrize("name", sorted(named_presets()))
+    @pytest.mark.parametrize("name", sorted(SELECTION_CASES))
     def test_presets_run_batched_inside_the_envelope(self, name):
-        result = _job(name, duration=0.3).run()
+        job = single_flow_job("cubic", SELECTION_CASES[name], seed=11,
+                              duration=0.3)
         expected = "reference" if name in OUTSIDE_ENVELOPE else "batched"
-        assert result.engine_used == expected
-
-    def test_codel_runs_reference(self):
-        net = Dumbbell(wired_trace(12), buffer_bytes=150_000, rtt=0.03,
-                       aqm="codel")
-        net.add_flow(Cubic())
-        assert net.run(0.3).engine_used == "reference"
-
-    def test_reference_flag_forces_the_oracle(self):
-        result = _job("wired-48", duration=0.3).run(reference=True)
-        assert result.engine_used == "reference"
+        assert job.run().engine_used == expected
 
 
 class TestEngineStreams:
